@@ -14,14 +14,17 @@ between forward and backward.  Results land in
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import time
 
 import numpy as np
 import pytest
 
-from repro.distributed import DGXTrainingModel, PipeRingAllReducer
+from repro.data import BatchLoader
+from repro.distributed import DGXTrainingModel, ElasticTrainer
 from repro.nn import Adam, CategoricalCrossEntropy, Conv2D, MaxPool2D, workspace_nbytes
 from repro.nn.layers import Dropout, ReLU, UpSample2D
+from repro.obs import get_registry
 from repro.unet import UNet, UNetConfig
 from repro.unet.trainer import UNetTrainer
 
@@ -243,81 +246,104 @@ def test_training_step_equivalence_fast_vs_seed_path():
 
 
 # --------------------------------------------------------------------------- #
-# Multi-process all-reduce vs the DGX performance model
+# Elastic-trainer epochs vs the DGX performance model
 # --------------------------------------------------------------------------- #
-ALLREDUCE_ROUNDS = 2 if BENCH_SMOKE else 4
-ALLREDUCE_SMALL = 20_000    # float64 elements
-ALLREDUCE_LARGE = 200_000
+PERFMODEL_ROUNDS = 2 if BENCH_SMOKE else 4
+PERFMODEL_IMAGES = 16
+PERFMODEL_TILE = 32
+PERFMODEL_BATCH_PER_WORKER = 4
 
 
-def _measure_pipe_ring(workers: int, elements: int, rounds: int) -> float:
-    """Best-of-N wall time of one PipeRingAllReducer.allreduce call."""
-    rng = np.random.default_rng(workers * 1000 + elements)
-    buffers = [rng.normal(size=(elements,)) for _ in range(workers)]
-    reducer = PipeRingAllReducer(workers, timeout_s=60.0)
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        results = reducer.allreduce(buffers)
-        best = min(best, time.perf_counter() - start)
-    np.testing.assert_allclose(results[0], np.mean(buffers, axis=0), rtol=1e-9)
-    return best
+def _fold_totals() -> tuple[float, float]:
+    """Cumulative (fold ms, folded bytes) from the trainer's telemetry."""
+    registry = get_registry()
+    return (registry.get("repro_train_allreduce_ms").snapshot()["sum"],
+            registry.get("repro_train_allreduce_bytes_total").value())
 
 
 @pytest.mark.benchmark(group="training")
+@pytest.mark.skipif("fork" not in mp.get_all_start_methods(), reason="fork start method unavailable")
 def test_allreduce_cost_matches_perfmodel():
-    """Calibrate the DGX model's communication term from real multi-process
-    ring all-reduces at p=2 (two buffer sizes isolate bandwidth from fixed
-    overhead), predict the p=4 cost, and validate against a p=4 measurement.
-    The measured/predicted ratio lands in BENCH_training_throughput.json."""
-    t_small = _measure_pipe_ring(2, ALLREDUCE_SMALL, ALLREDUCE_ROUNDS)
-    t_large = _measure_pipe_ring(2, ALLREDUCE_LARGE, ALLREDUCE_ROUNDS)
+    """Calibrate the DGX model from a measured 1-worker ElasticTrainer epoch
+    (its communication term from the fold's measured bytes/s), predict the
+    2-worker epoch at the same per-worker batch (the paper's sweep), and
+    validate against a measured 2-worker epoch.  The measured/predicted
+    ratio lands in BENCH_training_throughput.json."""
+    rng = np.random.default_rng(11)
+    tiles = rng.integers(0, 256, size=(PERFMODEL_IMAGES, PERFMODEL_TILE, PERFMODEL_TILE, 3), dtype=np.uint8)
+    labels = rng.integers(0, 3, size=(PERFMODEL_IMAGES, PERFMODEL_TILE, PERFMODEL_TILE))
+    config = UNetConfig(depth=2, base_channels=8, dropout=0.0, seed=3)
+    fleets = (1, 2)
+    trainers = {p: ElasticTrainer(num_workers=p, config=config, seed=0) for p in fleets}
+    loaders = {p: BatchLoader(tiles, labels, batch_size=PERFMODEL_BATCH_PER_WORKER * p,
+                              shuffle=False, drop_last=True) for p in fleets}
+    epoch_s: dict[int, list[float]] = {p: [] for p in fleets}
+    fold_ms = {p: 0.0 for p in fleets}
+    fold_bytes = {p: 0.0 for p in fleets}
+    try:
+        # Round 0 warms every worker up; the timed rounds interleave fleets.
+        for round_idx in range(PERFMODEL_ROUNDS + 1):
+            for p, trainer in trainers.items():
+                ms0, bytes0 = _fold_totals()
+                stats = trainer.fit(loaders[p], epochs=1).epochs[-1]
+                ms1, bytes1 = _fold_totals()
+                if round_idx:
+                    epoch_s[p].append(stats.time_s)
+                    fold_ms[p] += ms1 - ms0
+                    fold_bytes[p] += bytes1 - bytes0
+    finally:
+        for trainer in trainers.values():
+            trainer.close()
 
-    # At p=2 the ring model is t = S/BW + 2L (S = buffer bytes): two sizes
-    # give effective bandwidth (pickling + pipes included) and fixed latency.
-    small_bytes = ALLREDUCE_SMALL * 8
-    large_bytes = ALLREDUCE_LARGE * 8
-    bandwidth = (large_bytes - small_bytes) / max(t_large - t_small, 1e-9)
-    latency = max((t_small - small_bytes / bandwidth) / 2.0, 1e-6)
-
-    model = DGXTrainingModel(
-        model_megabytes=large_bytes / 1e6,
-        interconnect_gb_per_s=bandwidth / 1e9,
-        allreduce_latency_s=latency,
+    measured = {p: float(np.median(times)) for p, times in epoch_s.items()}
+    overrides = {}
+    if fold_ms[1] > 0:  # telemetry can be switched off with REPRO_METRICS=off
+        overrides["interconnect_gb_per_s"] = fold_bytes[1] / (fold_ms[1] / 1e3) / 1e9
+    model = DGXTrainingModel.calibrated_from_measurement(
+        measured_epoch_time=measured[1],
+        images_per_epoch=PERFMODEL_IMAGES,
+        model_parameters=trainers[1].master.num_parameters(),
+        epochs=1,
+        per_worker_batch_size=PERFMODEL_BATCH_PER_WORKER,
+        **overrides,
     )
-    predicted = model.allreduce_time_per_step(4)
-    measured = _measure_pipe_ring(4, ALLREDUCE_LARGE, ALLREDUCE_ROUNDS)
-    ratio = measured / predicted
+    predicted = model.epoch_time(2)
+    ratio = measured[2] / predicted
+    steps = {p: PERFMODEL_IMAGES // (PERFMODEL_BATCH_PER_WORKER * p) * PERFMODEL_ROUNDS for p in fleets}
 
     print_rows(
-        f"pipe-ring all-reduce vs perf model ({ALLREDUCE_LARGE} float64, "
-        f"bw {bandwidth / 1e6:.0f} MB/s, latency {latency * 1e3:.1f} ms)",
-        [{"workers": 2, "measured_ms": round(t_large * 1e3, 2)},
-         {"workers": 4, "measured_ms": round(measured * 1e3, 2),
-          "predicted_ms": round(predicted * 1e3, 2),
+        f"elastic-trainer epoch vs perf model ({PERFMODEL_IMAGES} tiles of {PERFMODEL_TILE}px, "
+        f"{PERFMODEL_BATCH_PER_WORKER} per worker, median of {PERFMODEL_ROUNDS} epochs)",
+        [{"workers": 1, "measured_s": round(measured[1], 4),
+          "fold_ms_per_step": round(fold_ms[1] / steps[1], 3)},
+         {"workers": 2, "measured_s": round(measured[2], 4), "predicted_s": round(predicted, 4),
+          "fold_ms_per_step": round(fold_ms[2] / steps[2], 3),
           "measured_over_predicted": round(ratio, 3)}],
     )
     update_bench_json("training_throughput", "allreduce_perfmodel", {
-        "elements": ALLREDUCE_LARGE,
-        "rounds": ALLREDUCE_ROUNDS,
+        "trainer": "ElasticTrainer",
+        "images_per_epoch": PERFMODEL_IMAGES,
+        "tile": PERFMODEL_TILE,
+        "per_worker_batch": PERFMODEL_BATCH_PER_WORKER,
+        "rounds": PERFMODEL_ROUNDS,
         "smoke": BENCH_SMOKE,
         "calibration": {
-            "p2_small_s": round(t_small, 5),
-            "p2_large_s": round(t_large, 5),
-            "effective_bandwidth_gb_per_s": round(bandwidth / 1e9, 4),
-            "fixed_latency_s": round(latency, 5),
+            "p1_epoch_s": round(measured[1], 5),
+            "p1_fold_ms_per_step": round(fold_ms[1] / steps[1], 4),
+            "effective_bandwidth_gb_per_s": round(model.interconnect_gb_per_s, 4),
         },
-        "p4_measured_s": round(measured, 5),
-        "p4_predicted_s": round(predicted, 5),
+        "p2_fold_ms_per_step": round(fold_ms[2] / steps[2], 4),
+        "p2_measured_s": round(measured[2], 5),
+        "p2_predicted_s": round(predicted, 5),
         "measured_over_predicted": round(ratio, 3),
     })
 
-    # Process spawn / teardown noise dominates at this scale, so the gate is
-    # deliberately loose: the model must be right to within an order of
-    # magnitude, which still catches a broken cost formula outright.
+    # Process scheduling and BLAS-thread noise dominate at this scale, so the
+    # gate is deliberately loose: the model must be right to within an order
+    # of magnitude, which still catches a broken cost formula outright.
     assert predicted > 0
     if not BENCH_SMOKE:
         assert 0.05 <= ratio <= 20.0, (
             f"perf model off by more than an order of magnitude: measured "
-            f"{measured * 1e3:.2f} ms vs predicted {predicted * 1e3:.2f} ms"
+            f"{measured[2]:.3f} s vs predicted {predicted:.3f} s"
         )

@@ -1,31 +1,17 @@
-"""Distributed U-Net training: ring all-reduce, Horovod-like API, data parallelism, DGX model."""
+"""Distributed U-Net training: the elastic trainer, the all-reduce traffic model and the DGX model."""
 
-from .allreduce import (
-    AllReduceStats,
-    PipeRingAllReducer,
-    RingBroken,
-    naive_allreduce,
-    ring_allreduce,
-)
-from .data_parallel import DataParallelTrainer, ShardedBatches
-from .elastic import ElasticTrainer, ElasticTrainingError, latest_checkpoints
-from .horovod import DistributedOptimizer, WorkerGroup, broadcast_parameters
+from .allreduce import AllReduceStats, naive_allreduce, ring_allreduce
+from .elastic import ElasticTrainer, ElasticTrainingError, RingBroken, latest_checkpoints
 from .perfmodel import PAPER_TABLE3_ROWS, DGXTrainingModel, paper_table3
 
 __all__ = [
     "AllReduceStats",
-    "PipeRingAllReducer",
-    "RingBroken",
     "naive_allreduce",
     "ring_allreduce",
-    "DataParallelTrainer",
-    "ShardedBatches",
     "ElasticTrainer",
     "ElasticTrainingError",
+    "RingBroken",
     "latest_checkpoints",
-    "DistributedOptimizer",
-    "WorkerGroup",
-    "broadcast_parameters",
     "PAPER_TABLE3_ROWS",
     "DGXTrainingModel",
     "paper_table3",

@@ -1,56 +1,31 @@
-"""Ring all-reduce (Patarasuk & Yuan 2009) — the algorithm behind Horovod.
+"""Analytic all-reduce traffic model: ring (Patarasuk & Yuan 2009) vs gather.
 
-Synchronous data-parallel training averages the gradient tensors of all
-workers after every batch.  Horovod does this with a bandwidth-optimal ring
-all-reduce: each of the ``p`` workers splits its buffer into ``p`` chunks;
-during ``p - 1`` *reduce-scatter* steps every worker sends one chunk to its
-right neighbour and accumulates the chunk arriving from its left neighbour,
-after which each worker holds one fully reduced chunk; ``p - 1`` *all-gather*
-steps then circulate the reduced chunks until every worker has the full
-result.  Total traffic per worker is ``2 (p-1)/p`` of the buffer size,
-independent of ``p`` — the property that makes it bandwidth optimal.
+Horovod averages the workers' gradients after every batch with a
+bandwidth-optimal ring all-reduce: each of the ``p`` workers splits its
+buffer into ``p`` chunks; during ``p - 1`` *reduce-scatter* steps every
+worker sends one chunk to its right neighbour and accumulates the chunk
+arriving from its left neighbour, after which each worker holds one fully
+reduced chunk; ``p - 1`` *all-gather* steps then circulate the reduced
+chunks until every worker has the full result.  Total traffic per worker is
+``2 (p-1)/p`` of the buffer size, independent of ``p`` — the property that
+makes it bandwidth optimal.
 
-Two implementations are provided:
-
-* :func:`ring_allreduce` — an in-process implementation that takes the
-  per-worker buffers as a list of arrays and performs exactly the chunked
-  ring schedule, additionally reporting the communication volume so the
-  performance model can be fed with the real algorithmic cost;
-* :class:`PipeRingAllReducer` — a real multi-process version in which worker
-  processes connected by ``multiprocessing.Pipe`` rings exchange raw NumPy
-  buffers, demonstrating the same schedule across OS processes.
+:func:`ring_allreduce` runs exactly that chunked schedule in-process over a
+list of per-worker arrays and :func:`naive_allreduce` the centralised
+gather-broadcast baseline; both report their communication volume in
+:class:`AllReduceStats`.  They back the paper's ring-vs-gather ablation and
+the communication term of :class:`~repro.distributed.perfmodel.DGXTrainingModel`.
+Actual multi-process training reduces gradients with
+:class:`~repro.distributed.elastic.ElasticTrainer`'s fixed-order fold.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
-import queue
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..reliability import fault_point
-
-__all__ = [
-    "AllReduceStats",
-    "RingBroken",
-    "ring_allreduce",
-    "naive_allreduce",
-    "PipeRingAllReducer",
-]
-
-
-class RingBroken(RuntimeError):
-    """A ring neighbour died or stalled past its deadline during all-reduce.
-
-    ``rank`` identifies the worker that stopped responding — the caller can
-    evict exactly that rank and rebuild the ring with the survivors.
-    """
-
-    def __init__(self, rank: int, message: str | None = None) -> None:
-        super().__init__(message or f"ring all-reduce broken at rank {rank}")
-        self.rank = int(rank)
+__all__ = ["AllReduceStats", "ring_allreduce", "naive_allreduce"]
 
 
 @dataclass
@@ -165,154 +140,3 @@ def ring_allreduce(buffers: list[np.ndarray], average: bool = True) -> tuple[lis
         elements_sent_per_worker=int(round(elements_sent / p)),
     )
     return results, stats
-
-
-# --------------------------------------------------------------------------- #
-# Multi-process ring
-# --------------------------------------------------------------------------- #
-def _report_broken(result_queue, rank: int, left: int) -> None:
-    result_queue.put(("broken", rank, left))
-    # Flush before dying: Queue.put only hands the item to a feeder thread,
-    # and a bare os._exit would kill it with the report still buffered.
-    result_queue.close()
-    result_queue.join_thread()
-    os._exit(171)
-
-
-def _ring_recv(recv_conn, rank: int, size: int, timeout_s: float, result_queue):
-    """Receive from the left neighbour, or report the break and die.
-
-    A dead or hung neighbour used to park this worker on a blocking
-    ``recv`` forever; now a ``poll`` deadline (or the EOF of a closed pipe)
-    converts the silence into a ``("broken", reporter, failed)`` message the
-    parent turns into :class:`RingBroken`.
-    """
-    left = (rank - 1) % size
-    try:
-        if not recv_conn.poll(timeout_s):
-            _report_broken(result_queue, rank, left)
-        return recv_conn.recv()
-    except (EOFError, OSError):
-        _report_broken(result_queue, rank, left)
-
-
-def _ring_worker(
-    rank: int, size: int, recv_conn, send_conn, data: np.ndarray, result_queue,
-    timeout_s: float,
-) -> None:
-    """Worker process body: runs the ring schedule over pipes."""
-    fault_point("allreduce_stall")
-    flat = np.asarray(data, dtype=np.float64).ravel().copy()
-    n = flat.size
-    slices = []
-    start = 0
-    for chunk in np.array_split(np.arange(n), size):
-        slices.append(slice(start, start + len(chunk)))
-        start += len(chunk)
-
-    # Everyone sending before receiving deadlocks as soon as a chunk exceeds
-    # the OS pipe capacity (~64 KB): the whole ring blocks in send() with
-    # nobody draining.  Rank 0 receives first, which breaks the cyclic wait —
-    # its neighbour's send completes, and the unblocking propagates around
-    # the ring.  The sent and received chunks of one step are never the same
-    # slice (indices differ by 1 mod p), so the reorder is trajectory-safe.
-    recv_first = rank == 0
-
-    for step in range(size - 1):
-        send_idx = (rank - step) % size
-        recv_idx = (rank - 1 - step) % size
-        if recv_first:
-            incoming = _ring_recv(recv_conn, rank, size, timeout_s, result_queue)
-            send_conn.send(flat[slices[send_idx]])
-        else:
-            send_conn.send(flat[slices[send_idx]])
-            incoming = _ring_recv(recv_conn, rank, size, timeout_s, result_queue)
-        flat[slices[recv_idx]] += incoming
-
-    for step in range(size - 1):
-        send_idx = (rank + 1 - step) % size
-        recv_idx = (rank - step) % size
-        if recv_first:
-            incoming = _ring_recv(recv_conn, rank, size, timeout_s, result_queue)
-            send_conn.send(flat[slices[send_idx]])
-        else:
-            send_conn.send(flat[slices[send_idx]])
-            incoming = _ring_recv(recv_conn, rank, size, timeout_s, result_queue)
-        flat[slices[recv_idx]] = incoming
-
-    result_queue.put(("ok", rank, flat / size))
-
-
-class PipeRingAllReducer:
-    """Ring all-reduce across real OS processes connected by pipes.
-
-    Intended for demonstrating and testing the schedule with genuine
-    inter-process communication; the in-process :func:`ring_allreduce` is
-    what the data-parallel trainer uses in its inner loop.
-    """
-
-    def __init__(
-        self, num_workers: int, start_method: str | None = None, timeout_s: float = 60.0
-    ) -> None:
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        self.num_workers = num_workers
-        self.timeout_s = float(timeout_s)
-        if start_method is None:
-            start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        self._ctx = mp.get_context(start_method)
-
-    def allreduce(self, buffers: list[np.ndarray]) -> list[np.ndarray]:
-        """Average the per-worker buffers; entry ``i`` is worker ``i``'s input.
-
-        Raises :class:`RingBroken` (carrying the failing rank) instead of
-        hanging when a worker dies or stalls past ``timeout_s``.
-        """
-        arrays = _check_buffers(buffers)
-        if len(arrays) != self.num_workers:
-            raise ValueError(f"expected {self.num_workers} buffers, got {len(arrays)}")
-        p = self.num_workers
-        if p == 1:
-            return [arrays[0].copy()]
-
-        # Pipe i connects sender i -> receiver (i+1) % p.
-        pipes = [self._ctx.Pipe(duplex=False) for _ in range(p)]
-        result_queue = self._ctx.Queue()
-        workers = []
-        for rank in range(p):
-            recv_conn = pipes[(rank - 1) % p][0]
-            send_conn = pipes[rank][1]
-            proc = self._ctx.Process(
-                target=_ring_worker,
-                args=(rank, p, recv_conn, send_conn, arrays[rank], result_queue,
-                      self.timeout_s),
-            )
-            proc.start()
-            workers.append(proc)
-
-        gathered: dict[int, np.ndarray] = {}
-        try:
-            for _ in range(p):
-                try:
-                    status, rank, payload = result_queue.get(timeout=self.timeout_s + 10.0)
-                except queue.Empty:
-                    dead = [r for r, proc in enumerate(workers)
-                            if proc.exitcode not in (None, 0)]
-                    raise RingBroken(
-                        dead[0] if dead else 0,
-                        f"no ring progress within {self.timeout_s + 10.0:.1f}s "
-                        f"(dead ranks: {dead or 'none detected'})",
-                    ) from None
-                if status == "broken":
-                    raise RingBroken(
-                        payload, f"rank {rank} timed out waiting for rank {payload}"
-                    )
-                gathered[rank] = payload
-        finally:
-            for proc in workers:
-                if proc.is_alive():
-                    proc.terminate()
-                proc.join()
-
-        shape = arrays[0].shape
-        return [gathered[rank].reshape(shape) for rank in range(p)]

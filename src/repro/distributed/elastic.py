@@ -45,12 +45,10 @@ fleets are topped back up at step boundaries (elastic grow).
 from __future__ import annotations
 
 import hashlib
-import json
 import multiprocessing as mp
 import os
 import re
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +60,7 @@ from ..backend.store import (
     ndarray_view,
 )
 from ..data.loader import BatchLoader
-from ..nn import Adam, CategoricalCrossEntropy, Optimizer, save_checkpoint
+from ..nn import Adam, CategoricalCrossEntropy, save_checkpoint
 from ..nn import load_checkpoint as _load_checkpoint
 from ..nn.layers import Dropout
 from ..nn.serialization import CheckpointError
@@ -70,9 +68,8 @@ from ..obs.metrics import get_registry
 from ..reliability import fault_point
 from ..unet.model import UNet, UNetConfig
 from ..unet.trainer import EpochStats, TrainingHistory
-from .allreduce import RingBroken
 
-__all__ = ["ElasticTrainer", "ElasticTrainingError", "latest_checkpoints"]
+__all__ = ["ElasticTrainer", "ElasticTrainingError", "RingBroken", "latest_checkpoints"]
 
 _ALIGN = 64
 
@@ -84,6 +81,18 @@ _CKPT_RE = re.compile(r"^ckpt-(\d{8})\.npz$")
 
 class ElasticTrainingError(RuntimeError):
     """Elastic training cannot make progress (e.g. every worker died)."""
+
+
+class RingBroken(RuntimeError):
+    """A worker died or stalled past its deadline during a step or fold.
+
+    ``rank`` identifies the worker that stopped responding — the trainer
+    evicts exactly that rank and re-runs the step on the survivors.
+    """
+
+    def __init__(self, rank: int, message: str | None = None) -> None:
+        super().__init__(message or f"ring all-reduce broken at rank {rank}")
+        self.rank = int(rank)
 
 
 def latest_checkpoints(directory: str | os.PathLike) -> list[str]:
@@ -293,13 +302,6 @@ class _ElasticWorker:
 # ---------------------------------------------------------------------- #
 # Parent-side trainer
 # ---------------------------------------------------------------------- #
-@dataclass
-class _StepOutcome:
-    loss: float
-    images: int
-    workers_used: int
-
-
 class ElasticTrainer:
     """Synchronous data-parallel training that survives worker loss.
 
@@ -338,7 +340,6 @@ class ElasticTrainer:
         keep_checkpoints: int = 3,
         auto_respawn: bool = True,
         start_method: str = "fork",
-        optimizer: Optimizer | None = None,
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
@@ -361,9 +362,9 @@ class ElasticTrainer:
         self._ctx = mp.get_context(start_method)
 
         self.master = UNet(self.config)
-        self.optimizer = optimizer if optimizer is not None else Adam(
-            self.master.parameters(), lr=learning_rate
-        )
+        # Replace after construction to train with another optimiser; it must
+        # be built over ``self.master.parameters()``.
+        self.optimizer = Adam(self.master.parameters(), lr=learning_rate)
         self.history = TrainingHistory()
         self.global_step = 0
         self.ring_rebuilds = 0
@@ -735,7 +736,8 @@ class ElasticTrainer:
             if loss is None:
                 continue
             losses.append(loss)
-            images += x.shape[0]
+            # _shard_batch drops the remainder past a multiple of micro_shards.
+            images += x.shape[0] // self.micro_shards * self.micro_shards
             if (self.checkpoint_dir and self.checkpoint_every > 0
                     and self.global_step % self.checkpoint_every == 0):
                 self._save_checkpoint(epoch, step_in_epoch, epoch_rng_state,
