@@ -198,7 +198,6 @@ class Backend(ABC):
         cloud_filter=None,
         *,
         engine=None,
-        compile_plans: bool = True,
         plan_cache_size: int = 8,
         warm_shapes: Sequence[tuple[int, ...]] = (),
     ) -> ModelHandle:
@@ -276,47 +275,25 @@ class Backend(ABC):
 # ---------------------------------------------------------------------- #
 # In-process model entries (shared by the serial and thread backends)
 # ---------------------------------------------------------------------- #
-#: The generic (uncompiled) forward pass runs its conv GEMMs through the
-#: process-wide scratch workspace in ``repro.nn.im2col``, which assumes one
-#: engine call at a time per process.  Compiled plans carry their own
-#: in-arena scratch (and a per-plan lock), so only uncompiled predictions
-#: must be serialised when the thread backend fans them out.
-_UNCOMPILED_PREDICT_LOCK = threading.Lock()
-
-
 class LocalModelEntry:
     """One published model held in-process: model + filter + compiled engine."""
 
     __slots__ = ("model", "cloud_filter", "engine", "handle")
 
-    def __init__(self, key, model, cloud_filter, engine, compile_plans, plan_cache_size,
-                 warm_shapes):
+    def __init__(self, key, model, cloud_filter, engine, plan_cache_size, warm_shapes):
         from ..unet.compiled import CompiledUNet
-        from ..unet.model import UNet
 
         self.model = model
         self.cloud_filter = cloud_filter
-        if engine is None and compile_plans and isinstance(model, UNet):
-            engine = CompiledUNet(model, max_plans=plan_cache_size)
-        self.engine = engine
-        if self.engine is not None:
-            for shape in warm_shapes:
-                self.engine.warm(tuple(int(d) for d in shape))
-        config = getattr(model, "config", None)
-        self.handle = ModelHandle(
-            key=key,
-            num_classes=int(getattr(config, "num_classes", 0) or 0),
-            in_channels=int(getattr(config, "in_channels", 3) or 3),
-        )
+        self.engine = engine if engine is not None else CompiledUNet(model, max_plans=plan_cache_size)
+        for shape in warm_shapes:
+            self.engine.warm(tuple(int(d) for d in shape))
+        self.handle = ModelHandle(key=key, num_classes=int(model.config.num_classes),
+                                  in_channels=int(model.config.in_channels))
 
     def predict(self, batch: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         from ..unet.inference import predict_batch_probabilities
 
-        if self.engine is None:
-            with _UNCOMPILED_PREDICT_LOCK:
-                return predict_batch_probabilities(
-                    batch, self.model, self.cloud_filter, engine=None, out=out
-                )
         return predict_batch_probabilities(
             batch, self.model, self.cloud_filter, engine=self.engine, out=out
         )

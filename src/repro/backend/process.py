@@ -34,6 +34,7 @@ see a :class:`BackendError`.
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing as mp
 import os
 import queue
@@ -90,6 +91,29 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _openblas_threads(cap: int | None = None) -> int | None:
+    """Largest OpenBLAS thread pool in this process, each first lowered to ``cap``.
+
+    OpenBLAS sizes its pool to every core and a forked worker inherits it, so
+    N workers on N cores ran N² GEMM threads that preempted one another.
+    Never raises a count (a user-set ``OPENBLAS_NUM_THREADS`` holds).
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "libscipy_openblas" in line})
+    except OSError:  # pragma: no cover - non-Linux
+        return None
+    counts = []
+    for path in paths:  # numpy's ILP64 build, plus scipy's LP64 one once scipy is loaded
+        lib = ctypes.CDLL(path)
+        suffix = "64_" if hasattr(lib, "scipy_openblas_get_num_threads64_") else ""
+        get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+        if cap is not None and get() > cap:
+            getattr(lib, "scipy_openblas_set_num_threads" + suffix)(ctypes.c_int(cap))
+        counts.append(get())
+    return max(counts, default=None)
+
+
 # ---------------------------------------------------------------------- #
 # Worker process
 # ---------------------------------------------------------------------- #
@@ -116,8 +140,9 @@ def _worker_reply_meta(compute_ms: float, trace_id=None) -> dict:
     return meta
 
 
-def _worker_main(conn, siblings=()) -> None:
+def _worker_main(conn, siblings=(), blas_threads: int | None = None) -> None:
     """Blocking request loop of one backend worker (runs in the child)."""
+    _openblas_threads(blas_threads)
     # Forked children inherit the parent's end of every *earlier* worker's
     # pipe.  Close them, or a sibling holding the fd open keeps recv() from
     # ever seeing EOF after the parent dies — orphan workers that pin the
@@ -215,14 +240,14 @@ def _worker_main(conn, siblings=()) -> None:
 class _Worker:
     """Parent-side handle of one worker process (pipe + in-use lock)."""
 
-    def __init__(self, ctx, siblings: Sequence = ()) -> None:
+    def __init__(self, ctx, siblings: Sequence = (), blas_threads: int | None = None) -> None:
         self.conn, child_conn = ctx.Pipe(duplex=True)
         # The child closes every parent-side end it inherited at fork time —
         # its own *and* the earlier workers' — so the pipes EOF when the
         # parent actually dies (see _worker_main).
         self.process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, tuple(siblings) + (self.conn,)),
+            args=(child_conn, tuple(siblings) + (self.conn,), blas_threads),
             daemon=True,
         )
         self.process.start()
@@ -374,6 +399,7 @@ class ProcessBackend(Backend):
         self._retries = 0
         self._watchdog: threading.Thread | None = None
         self._watchdog_stop = threading.Event()
+        self._blas_threads: int | None = None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -386,19 +412,21 @@ class ProcessBackend(Backend):
         from multiprocessing import resource_tracker
 
         resource_tracker.ensure_running()
+        # In-flight dispatch is capped at the cores actually available, and
+        # the cores are split between the in-flight workers' BLAS pools:
+        # oversubscribed forwards evict each other's caches (each plan's
+        # working set is tens of MB).  All workers stay up and warm either
+        # way; the cap only bounds concurrency.
+        cpus = _cpu_count()
+        inflight = max(1, min(self.num_workers, cpus))
+        self._blas_threads = max(1, cpus // inflight)
         self._workers = []
         for _ in range(self.num_workers):
             self._workers.append(
-                _Worker(self._ctx, siblings=[w.conn for w in self._workers])
+                _Worker(self._ctx, [w.conn for w in self._workers], self._blas_threads)
             )
         for index in range(self.num_workers):
             self._free.put(index)
-        # In-flight dispatch is capped at the cores actually available:
-        # running more concurrent workers than cores buys no throughput and
-        # costs real time — the interleaved forwards evict each other's
-        # caches (each plan's working set is tens of MB).  All workers stay
-        # up and warm either way; the cap only bounds concurrency.
-        inflight = max(1, min(self.num_workers, _cpu_count()))
         self._dispatcher = ThreadPoolExecutor(
             max_workers=inflight, thread_name_prefix="repro-backend-dispatch"
         )
@@ -446,10 +474,8 @@ class ProcessBackend(Backend):
             old.stop(timeout=0.5)
         except Exception:  # pragma: no cover - defensive
             pass
-        worker = _Worker(
-            self._ctx,
-            siblings=[w.conn for i, w in enumerate(self._workers) if i != index],
-        )
+        siblings = [w.conn for i, w in enumerate(self._workers) if i != index]
+        worker = _Worker(self._ctx, siblings, self._blas_threads)
         self._workers[index] = worker
         self._respawns += 1
         for spec in self._store.specs():
@@ -575,8 +601,7 @@ class ProcessBackend(Backend):
     # Model store
     # ------------------------------------------------------------------ #
     def publish_model(self, key, model, cloud_filter=None, *, engine=None,
-                      compile_plans: bool = True, plan_cache_size: int = 8,
-                      warm_shapes: Sequence[tuple[int, ...]] = ()) -> ModelHandle:
+                      plan_cache_size: int = 8, warm_shapes: Sequence[tuple[int, ...]] = ()) -> ModelHandle:
         self._ensure_open()
         if engine is not None:
             plan_cache_size = engine.max_plans

@@ -76,11 +76,9 @@ class ThreadBackend(Backend):
 
     # ------------------------------------------------------------------ #
     def publish_model(self, key, model, cloud_filter=None, *, engine=None,
-                      compile_plans: bool = True, plan_cache_size: int = 8,
-                      warm_shapes: Sequence[tuple[int, ...]] = ()) -> ModelHandle:
+                      plan_cache_size: int = 8, warm_shapes: Sequence[tuple[int, ...]] = ()) -> ModelHandle:
         self._ensure_open()
-        entry = LocalModelEntry(key, model, cloud_filter, engine, compile_plans,
-                                plan_cache_size, warm_shapes)
+        entry = LocalModelEntry(key, model, cloud_filter, engine, plan_cache_size, warm_shapes)
         self._models[key] = entry
         return entry.handle
 

@@ -1,4 +1,4 @@
-"""Single-machine parallelism: process-pool map, shared-memory arrays, scaling harness."""
+"""Single-machine parallelism: process-pool map and scaling harness."""
 
 from .autolabel_runner import AutoLabelRunConfig, autolabel_scaling_table, run_parallel_autolabel
 from .pool import (
@@ -9,7 +9,6 @@ from .pool import (
     parallel_map,
     serial_map,
 )
-from .shared import SharedArraySpec, SharedNDArray, share_array
 
 __all__ = [
     "AutoLabelRunConfig",
@@ -21,7 +20,4 @@ __all__ = [
     "measure_scaling",
     "parallel_map",
     "serial_map",
-    "SharedArraySpec",
-    "SharedNDArray",
-    "share_array",
 ]

@@ -471,8 +471,8 @@ class ModelRegistry:
             inference = InferenceConfig()
         classifier = SceneClassifier(model=model, config=inference)
         # Warm-up: compile the single-tile serving plan now so the first
-        # request does not pay plan compilation (a no-op when compile_plans
-        # is off).  Serving traffic at other batch shapes compiles lazily.
+        # request does not pay plan compilation.  Serving traffic at other
+        # batch shapes compiles lazily.
         classifier.warm_plans(batch_sizes=(1,))
         # Bring the execution backend up too: a non-serial config publishes
         # the packed weights into the backend's (shared-memory) model store

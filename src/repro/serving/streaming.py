@@ -65,7 +65,7 @@ class StreamingSceneClassifier:
         # One compiled engine for the whole stream: every band re-runs the
         # same (batch, tile, tile) shapes, so after the first band each
         # forward hits a warm arena-backed plan.
-        if self.config.compile_plans and isinstance(self.model, UNet):
+        if isinstance(self.model, UNet):
             self._engine = CompiledUNet(self.model, max_plans=self.config.plan_cache_size)
 
     # ------------------------------------------------------------------ #

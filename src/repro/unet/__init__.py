@@ -6,8 +6,6 @@ from .inference import (
     InferenceConfig,
     SceneClassifier,
     predict_batch_probabilities,
-    predict_tile_probabilities,
-    predict_tiles,
 )
 from .model import UNet, UNetConfig, build_unet, paper_unet_config, tiny_unet_config
 from .trainer import EpochStats, TrainingHistory, UNetTrainer
@@ -21,8 +19,6 @@ __all__ = [
     "InferenceConfig",
     "SceneClassifier",
     "predict_batch_probabilities",
-    "predict_tile_probabilities",
-    "predict_tiles",
     "UNet",
     "UNetConfig",
     "build_unet",

@@ -13,6 +13,7 @@ the final argmax, which removes the seam artifacts of hard tile boundaries.
 
 from __future__ import annotations
 
+import warnings
 import weakref
 from dataclasses import dataclass, field, fields
 
@@ -31,8 +32,6 @@ __all__ = [
     "InferenceConfig",
     "SceneClassifier",
     "predict_batch_probabilities",
-    "predict_tiles",
-    "predict_tile_probabilities",
 ]
 
 
@@ -47,11 +46,10 @@ class InferenceConfig:
     honours ``REPRO_BACKEND`` and otherwise forks when ``num_workers > 1``
     and the platform supports it).  ``num_workers`` sizes the worker pool
     and — kept as a deprecated alias of the pre-backend API — still turns
-    fan-out on by itself under ``backend="auto"``.  ``compile_plans`` (on by
-    default — inference always runs the model in eval mode) routes forward
-    passes through per-shape compiled plans executing into a preallocated
-    workspace arena (:mod:`repro.nn.plan`); ``plan_cache_size`` bounds how
-    many input shapes stay compiled (LRU).
+    fan-out on by itself under ``backend="auto"``.  Forward passes run
+    through per-shape compiled plans executing into a preallocated workspace
+    arena (:mod:`repro.nn.plan`); ``plan_cache_size`` bounds how many input
+    shapes stay compiled (LRU).
     """
 
     tile_size: int = 256
@@ -59,7 +57,6 @@ class InferenceConfig:
     apply_cloud_filter: bool = True
     batch_size: int = 8
     num_workers: int = 1
-    compile_plans: bool = True
     plan_cache_size: int = 8
     backend: str = "auto"
 
@@ -89,23 +86,42 @@ class InferenceConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "InferenceConfig":
-        """Build a config from a (JSON-loaded) dict, rejecting unknown keys."""
+        """Build a config from a (JSON-loaded) dict, rejecting unknown keys.
+
+        Values must already have their field's type: ``"false"`` is not a
+        bool and ``32.9`` is not an int.  ``compile_plans``, written by
+        archives published before compiled plans became the only runtime,
+        is accepted and ignored with a :class:`DeprecationWarning`.
+        """
         if not isinstance(data, dict):
             raise ValueError(f"expected a dict of InferenceConfig options, got {type(data).__name__}")
-        known = {f.name: f.type for f in fields(cls)}
-        unknown = sorted(set(data) - set(known))
+        data = dict(data)
+        if "compile_plans" in data:
+            data.pop("compile_plans")
+            warnings.warn(
+                "InferenceConfig key 'compile_plans' is ignored: inference always runs compiled plans",
+                DeprecationWarning, stacklevel=2,
+            )
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = sorted(set(data) - set(defaults))
         if unknown:
             raise ValueError(
-                f"unknown InferenceConfig keys {unknown}; valid keys are {sorted(known)}"
+                f"unknown InferenceConfig keys {unknown}; valid keys are {sorted(defaults)}"
             )
         kwargs = {}
         for key, value in data.items():
-            if key == "backend":
-                kwargs[key] = str(value)
-            elif key in ("apply_cloud_filter", "compile_plans"):
-                kwargs[key] = bool(value)
+            kind = type(defaults[key])
+            if kind is bool:
+                if not isinstance(value, bool):
+                    raise ValueError(f"InferenceConfig key {key!r} must be a bool, got {value!r}")
+            elif kind is int:
+                integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+                if isinstance(value, bool) or not integral:
+                    raise ValueError(f"InferenceConfig key {key!r} must be an integer, got {value!r}")
+                value = int(value)
             else:
-                kwargs[key] = int(value)
+                value = str(value)
+            kwargs[key] = value
         return cls(**kwargs)
 
 
@@ -173,10 +189,12 @@ def predict_batch_probabilities(
 
     With ``engine`` (a :class:`~repro.unet.compiled.CompiledUNet` wrapping
     the same model) the forward pass runs through the per-shape compiled
-    plan instead of the generic layer walk — identical maps, no per-call
-    workspace allocations.  ``out`` routes the result into a caller-provided
-    ``(N, K, H, W)`` float32 buffer (e.g. a shared-memory output arena);
-    when no padding is needed the compiled plan softmaxes directly into it.
+    plan — the runtime every classifier and backend uses.  Without it the
+    model's generic eval forward runs: the parity reference, and the path
+    of models that cannot be compiled (non-:class:`UNet` stubs).  ``out``
+    routes the result into a caller-provided ``(N, K, H, W)`` float32
+    buffer (e.g. a shared-memory output arena); when no padding is needed
+    the compiled plan softmaxes directly into it.
     """
     fault_point("slow_predict")  # chaos knob: every consumer funnels through here
     if engine is not None and model is None:
@@ -203,97 +221,13 @@ def predict_batch_probabilities(
     return result
 
 
-#: Backwards-compatible alias (the pre-serving private name).
-_predict_probs_batch = predict_batch_probabilities
-
-
-def predict_tile_probabilities(
-    model: UNet,
-    tiles: np.ndarray,
-    batch_size: int = 8,
-    cloud_filter: CloudShadowFilter | None = None,
-    num_workers: int = 1,
-    engine: CompiledUNet | None = None,
-    backend: str | Backend | None = None,
-) -> np.ndarray:
-    """Per-class probability maps ``(N, K, H, W)`` for an ``(N, H, W, 3)`` stack.
-
-    Tiles are predicted in batches of ``batch_size``, dispatched through an
-    execution backend: pass a running :class:`~repro.backend.Backend` with
-    the model already published (the :class:`SceneClassifier` fast path), a
-    backend name, or ``None``/``"auto"`` to resolve from ``num_workers``
-    (kept as the deprecated pre-backend alias: ``num_workers > 1`` alone
-    still fans out).  Name-selected non-serial backends are ephemeral —
-    created, used and closed within the call; models the backend cannot
-    publish (non-UNet stubs) fall back to the in-process loop.  An empty
-    stack returns a correctly-shaped empty array instead of raising.
-    """
-    stack = _validate_stack(tiles)
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if num_workers < 1:
-        raise ValueError("num_workers must be >= 1")
-    n, h, w = stack.shape[:3]
-    if n == 0:
-        return np.zeros((0, _num_classes_of(model), h, w), dtype=np.float32)
-
-    if isinstance(backend, Backend):
-        if backend.has_model(_SCENE_MODEL_KEY):
-            return backend.predict_stack(_SCENE_MODEL_KEY, stack, batch_size)
-        backend = None  # not published (e.g. non-UNet fallback): run in-process
-
-    name = backend if isinstance(backend, str) or backend is None else "auto"
-    resolved = resolve_backend_name(name, num_workers)
-    if resolved != "serial" and n > batch_size and isinstance(model, UNet):
-        with make_backend(resolved, num_workers=num_workers) as ephemeral:
-            ephemeral.publish_model(
-                _SCENE_MODEL_KEY, model, cloud_filter,
-                compile_plans=engine is not None,
-                plan_cache_size=engine.max_plans if engine is not None else 8,
-            )
-            return ephemeral.predict_stack(_SCENE_MODEL_KEY, stack, batch_size)
-
-    outputs = [
-        predict_batch_probabilities(stack[start : start + batch_size], model, cloud_filter, engine)
-        for start in range(0, n, batch_size)
-    ]
-    return np.concatenate(outputs, axis=0)
-
-
-def predict_tiles(
-    model: UNet,
-    tiles: np.ndarray,
-    batch_size: int = 8,
-    cloud_filter: CloudShadowFilter | None = None,
-) -> np.ndarray:
-    """Predict class maps for a ``(N, H, W, 3)`` uint8 tile stack.
-
-    When ``cloud_filter`` is given each tile is filtered before prediction,
-    which is the paper's recommended inference configuration.  An empty tile
-    stack returns an empty ``(0, H, W)`` map instead of raising.
-    """
-    stack = _validate_stack(tiles)
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    n, h, w = stack.shape[:3]
-    if n == 0:
-        return np.zeros((0, h, w), dtype=np.uint8)
-
-    outputs = []
-    for start in range(0, n, batch_size):
-        probs = predict_batch_probabilities(stack[start : start + batch_size], model, cloud_filter)
-        outputs.append(probs.argmax(axis=1).astype(np.uint8))
-    return np.concatenate(outputs, axis=0)
-
-
 @dataclass
 class SceneClassifier:
     """Whole-scene inference engine (tile → filter → batched predict → blend-stitch).
 
-    With ``config.compile_plans`` (the default) the classifier owns a
-    :class:`~repro.unet.compiled.CompiledUNet`: every distinct batch shape it
-    predicts is compiled once into an arena-backed plan and re-run
-    allocation-free afterwards.  Plans snapshot weights — call
+    The classifier owns a :class:`~repro.unet.compiled.CompiledUNet`: every
+    distinct batch shape it predicts is compiled once into an arena-backed
+    plan and re-run allocation-free afterwards.  Plans snapshot weights — call
     :meth:`invalidate_plans` if the wrapped model is trained further.
     """
 
@@ -306,13 +240,13 @@ class SceneClassifier:
     _finalizer: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.config.compile_plans and isinstance(self.model, UNet):
+        if isinstance(self.model, UNet):
             self._engine = CompiledUNet(self.model, max_plans=self.config.plan_cache_size)
 
     # ------------------------------------------------------------------ #
     @property
     def engine(self) -> CompiledUNet | None:
-        """The compiled-plan engine (``None`` when ``compile_plans`` is off)."""
+        """The compiled-plan engine (``None`` only for non-:class:`UNet` models)."""
         return self._engine
 
     @property
@@ -338,7 +272,6 @@ class SceneClassifier:
         backend.publish_model(
             _SCENE_MODEL_KEY, self.model, filt,
             engine=self._engine,
-            compile_plans=self.config.compile_plans,
             plan_cache_size=self.config.plan_cache_size,
         )
 
@@ -404,21 +337,27 @@ class SceneClassifier:
         return np.asarray(assemble_from_tiles(prob_tiles, grid))
 
     def _predict_stack(self, tiles: np.ndarray) -> np.ndarray:
-        """Dispatch a tile stack through the persistent backend (or in-process)."""
-        cfg = self.config
+        """Dispatch a tile stack through the persistent backend (or in-process).
+
+        An empty stack returns a correctly-shaped empty array.
+        """
+        stack = _validate_stack(tiles)
+        n, h, w = stack.shape[:3]
+        if n == 0:
+            return np.zeros((0, _num_classes_of(self.model), h, w), dtype=np.float32)
+        batch_size = self.config.batch_size
         backend = self.backend
         if backend is not None:
-            stack = _validate_stack(tiles)
-            if stack.shape[0] > 0:
-                # copy=False: the stack result is consumed (stitched or
-                # argmax-reduced) before the next dispatch, so the fork
-                # backend may hand back its shared output arena directly.
-                return backend.predict_stack(_SCENE_MODEL_KEY, stack, cfg.batch_size, copy=False)
-        filt = self.cloud_filter if cfg.apply_cloud_filter else None
-        return predict_tile_probabilities(
-            self.model, tiles, batch_size=cfg.batch_size, cloud_filter=filt,
-            num_workers=1, engine=self._engine, backend="serial",
-        )
+            # copy=False: the stack result is consumed (stitched or
+            # argmax-reduced) before the next dispatch, so the fork
+            # backend may hand back its shared output arena directly.
+            return backend.predict_stack(_SCENE_MODEL_KEY, stack, batch_size, copy=False)
+        filt = self.cloud_filter if self.config.apply_cloud_filter else None
+        return np.concatenate([
+            predict_batch_probabilities(stack[start : start + batch_size], self.model, filt,
+                                        self._engine)
+            for start in range(0, n, batch_size)
+        ], axis=0)
 
     def classify_scene(self, scene_rgb: np.ndarray) -> np.ndarray:
         """Return the per-pixel class map of a full ``(H, W, 3)`` scene."""

@@ -139,16 +139,14 @@ class TestCrossBackendParity:
         assert np.array_equal(maps["serial"], maps["thread"])
         assert np.array_equal(maps["serial"], maps["fork"])
 
-    def test_thread_backend_uncompiled_predictions_race_free(self, model, stack):
-        # The generic forward runs through the process-wide im2col scratch
-        # workspace; concurrent uncompiled batches used to interleave in it
-        # and corrupt each other's GEMM inputs.
-        expected = np.concatenate([
-            predict_batch_probabilities(stack[i : i + 3], model)
-            for i in range(0, stack.shape[0], 3)
-        ])
+    def test_thread_backend_predictions_race_free(self, model, stack):
+        # Concurrent batches on the thread backend share one compiled-plan
+        # cache; hammering it must reproduce the serial backend exactly.
+        with _build("serial") as backend:
+            backend.publish_model("m", model)
+            expected = backend.predict_stack("m", stack, batch_size=3)
         with _build("thread") as backend:
-            backend.publish_model("m", model, compile_plans=False)
+            backend.publish_model("m", model)
             for _ in range(5):
                 probs = backend.predict_stack("m", stack, batch_size=3)
                 assert np.array_equal(probs, expected)
@@ -160,6 +158,12 @@ def _square(x: int) -> int:
 
 def _boom(x: int) -> int:
     raise ValueError(f"boom on {x}")
+
+
+def _blas_threads(_: int) -> int | None:
+    from repro.backend.process import _openblas_threads
+
+    return _openblas_threads()
 
 
 class TestSharedModelStore:
@@ -310,6 +314,18 @@ class TestLifecycleAndErrors:
             assert info["workers"] == 2
             assert info["models"] == ["m"]
             assert info["alive_workers"] == 2
+
+    def test_fork_workers_split_blas_threads_between_them(self):
+        cpus = len(os.sched_getaffinity(0))
+        parent = _blas_threads(0)
+        with ProcessBackend(num_workers=2) as backend:
+            counts = backend.map(_blas_threads, [0, 1], chunk_size=1)
+        if parent is None:  # not OpenBLAS: nothing to cap
+            assert counts == [None, None]
+        else:
+            budget = max(1, cpus // min(2, cpus))
+            assert all(1 <= count <= min(parent, budget) for count in counts), counts
+        assert _blas_threads(0) == parent  # the parent's own pool is untouched
 
     def test_worker_task_error_does_not_kill_worker(self, model, stack):
         with ProcessBackend(num_workers=1) as backend:

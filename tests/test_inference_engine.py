@@ -10,10 +10,9 @@ from repro.unet import (
     InferenceConfig,
     SceneClassifier,
     UNet,
-    predict_tile_probabilities,
-    predict_tiles,
     tiny_unet_config,
 )
+from repro.backend import available_backends
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +71,14 @@ class TestInferenceConfig:
     def test_from_dict_validates_values(self):
         with pytest.raises(ValueError):
             InferenceConfig.from_dict({"tile_size": 32, "overlap": 32})
+        # Values from JSON are not coerced: "false" is not a bool, 32.9 is
+        # not an int, and a bool is not an int either.
+        for key, value in [("apply_cloud_filter", "false"), ("apply_cloud_filter", 0),
+                           ("tile_size", 32.9), ("tile_size", "32"),
+                           ("batch_size", True), ("overlap", float("nan"))]:
+            with pytest.raises(ValueError, match=key):
+                InferenceConfig.from_dict({key: value})
+        assert InferenceConfig.from_dict({"tile_size": 64.0}) == InferenceConfig(tile_size=64)
 
     def test_backend_key_round_trips(self):
         config = InferenceConfig(backend="thread", num_workers=3)
@@ -98,41 +105,62 @@ class TestInferenceConfig:
         assert InferenceConfig(backend="serial", num_workers=8).resolved_backend() == "serial"
 
 
+def _tile_classifier(model, **kwargs) -> SceneClassifier:
+    """A classifier for pre-tiled 32-px stacks, cloud filter off unless asked.
+
+    Hold it (``with``) while reading ``_predict_stack`` results: under a fork
+    backend they are views onto the classifier's shared output arena.
+    """
+    kwargs.setdefault("apply_cloud_filter", False)
+    return SceneClassifier(model=model, config=InferenceConfig(tile_size=32, **kwargs))
+
+
 class TestPredictTiles:
+    """``SceneClassifier.classify_tiles`` and its probability stack."""
+
     def test_empty_stack_returns_empty_map(self, engine_model):
-        out = predict_tiles(engine_model, np.empty((0, 32, 32, 3), dtype=np.uint8))
+        with _tile_classifier(engine_model) as classifier:
+            out = classifier.classify_tiles(np.empty((0, 32, 32, 3), dtype=np.uint8))
         assert out.shape == (0, 32, 32)
         assert out.dtype == np.uint8
 
     def test_empty_stack_probabilities(self, engine_model):
-        out = predict_tile_probabilities(engine_model, np.empty((0, 32, 32, 3), dtype=np.uint8))
+        with _tile_classifier(engine_model) as classifier:
+            out = classifier._predict_stack(np.empty((0, 32, 32, 3), dtype=np.uint8))
         assert out.shape == (0, 3, 32, 32)
         assert out.dtype == np.float32
 
     def test_probabilities_shape_and_norm(self, engine_model, tiny_dataset):
-        probs = predict_tile_probabilities(engine_model, tiny_dataset.images[:3], batch_size=2)
-        assert probs.shape == (3, 3, 32, 32)
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-5)
+        with _tile_classifier(engine_model, batch_size=2) as classifier:
+            probs = classifier._predict_stack(tiny_dataset.images[:3])
+            assert probs.shape == (3, 3, 32, 32)
+            np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-5)
 
     def test_probabilities_match_labels(self, engine_model, tiny_dataset):
         tiles = tiny_dataset.images[:4]
-        labels = predict_tiles(engine_model, tiles, batch_size=2)
-        probs = predict_tile_probabilities(engine_model, tiles, batch_size=2)
-        np.testing.assert_array_equal(probs.argmax(axis=1).astype(np.uint8), labels)
+        with _tile_classifier(engine_model, batch_size=2) as classifier:
+            labels = classifier.classify_tiles(tiles)
+            probs = classifier._predict_stack(tiles)
+            np.testing.assert_array_equal(probs.argmax(axis=1).astype(np.uint8), labels)
 
     def test_multiprocess_matches_serial(self, engine_model, tiny_dataset):
         tiles = tiny_dataset.images[:6]
-        serial = predict_tile_probabilities(engine_model, tiles, batch_size=2, num_workers=1)
-        pooled = predict_tile_probabilities(engine_model, tiles, batch_size=2, num_workers=2)
-        np.testing.assert_array_equal(serial, pooled)
+        maps = {}
+        for backend in [b for b in ("serial", "thread", "fork") if b in available_backends()]:
+            with _tile_classifier(engine_model, batch_size=2, apply_cloud_filter=True,
+                                  backend=backend, num_workers=2) as classifier:
+                assert (classifier.backend is None) == (backend == "serial")
+                maps[backend] = classifier._predict_stack(tiles).copy()
+        for backend, probs in maps.items():
+            np.testing.assert_array_equal(maps["serial"], probs, err_msg=backend)
 
     def test_rejects_bad_stack(self, engine_model, tiny_dataset):
+        with pytest.raises(ValueError), _tile_classifier(engine_model) as classifier:
+            classifier.classify_tiles(tiny_dataset.labels)
         with pytest.raises(ValueError):
-            predict_tile_probabilities(engine_model, tiny_dataset.labels)
+            InferenceConfig(batch_size=0)
         with pytest.raises(ValueError):
-            predict_tile_probabilities(engine_model, tiny_dataset.images, batch_size=0)
-        with pytest.raises(ValueError):
-            predict_tile_probabilities(engine_model, tiny_dataset.images, num_workers=0)
+            InferenceConfig(num_workers=0)
 
 
 class TestOverlapBlending:
@@ -205,18 +233,20 @@ class TestSmallSceneHandling:
     def test_padding_does_not_change_divisible_results(self, engine_model, tiny_dataset):
         """The pad-and-crop seam is a no-op when sizes already divide evenly."""
         tiles = tiny_dataset.images[:4]
-        probs = predict_tile_probabilities(engine_model, tiles, batch_size=2)
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-5)
-        assert probs.shape[2:] == tiles.shape[1:3]
+        with _tile_classifier(engine_model, batch_size=2) as classifier:
+            probs = classifier._predict_stack(tiles)
+            np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-5)
+            assert probs.shape[2:] == tiles.shape[1:3]
 
-    def test_odd_tiles_through_predict_tiles(self, deep_model):
+    def test_odd_tiles_through_classify_tiles(self, deep_model):
         tiles = np.random.default_rng(3).integers(0, 255, size=(3, 20, 28, 3), dtype=np.uint8)
-        labels = predict_tiles(deep_model, tiles, batch_size=2)
-        assert labels.shape == (3, 20, 28)
-        probs = predict_tile_probabilities(deep_model, tiles, batch_size=2)
-        assert probs.shape == (3, 3, 20, 28)
-        np.testing.assert_array_equal(probs.argmax(axis=1).astype(np.uint8), labels)
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-5)
+        with _tile_classifier(deep_model, batch_size=2) as classifier:
+            labels = classifier.classify_tiles(tiles)
+            assert labels.shape == (3, 20, 28)
+            probs = classifier._predict_stack(tiles)
+            assert probs.shape == (3, 3, 20, 28)
+            np.testing.assert_array_equal(probs.argmax(axis=1).astype(np.uint8), labels)
+            np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-5)
 
 
 class TestEvalModeMemory:

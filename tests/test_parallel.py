@@ -1,4 +1,4 @@
-"""Tests for repro.parallel (process-pool map, shared memory, auto-label runner)."""
+"""Tests for repro.parallel (process-pool map, auto-label runner)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.parallel import (
     AutoLabelRunConfig,
-    SharedNDArray,
     autolabel_scaling_table,
     available_cpu_count,
     default_chunk_size,
@@ -15,7 +14,6 @@ from repro.parallel import (
     parallel_map,
     run_parallel_autolabel,
     serial_map,
-    share_array,
 )
 
 
@@ -97,41 +95,6 @@ class TestParallelMap:
         for m in measurements:
             assert m.results == [square(i) for i in range(50)]
             assert m.elapsed > 0
-
-
-class TestSharedMemory:
-    def test_round_trip(self):
-        data = np.arange(24, dtype=np.float32).reshape(4, 6)
-        shared = share_array(data)
-        try:
-            np.testing.assert_array_equal(shared.array, data)
-            spec = shared.spec
-            attached = SharedNDArray.attach(spec)
-            try:
-                np.testing.assert_array_equal(attached.array, data)
-                attached.array[0, 0] = 99.0
-                assert shared.array[0, 0] == 99.0  # same physical memory
-            finally:
-                attached.close()
-        finally:
-            shared.unlink()
-
-    def test_context_manager_cleans_up(self):
-        with share_array(np.ones(5)) as shared:
-            name = shared.spec.name
-            assert shared.array.sum() == 5
-        # After unlink the block cannot be attached any more.
-        from multiprocessing import shared_memory
-
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_spec_is_picklable(self):
-        import pickle
-
-        with share_array(np.zeros((2, 3), dtype=np.uint8)) as shared:
-            spec2 = pickle.loads(pickle.dumps(shared.spec))
-            assert spec2.shape == (2, 3)
 
 
 class TestAutoLabelRunner:

@@ -96,6 +96,23 @@ class TestCheckpointLifecycle:
         served = registry.classifier("seaice")
         assert served.model.config == small_model.config
 
+    def test_legacy_compile_plans_archive_loads_compiled(self, tmp_path, small_model, scene):
+        # Archives published before compiled plans became the only runtime
+        # carry ``compile_plans`` in their inference metadata.
+        root = tmp_path / "registry"
+        inference = InferenceConfig(tile_size=32, apply_cloud_filter=False)
+        save_weights(small_model, str(root / "seaice" / "1.npz"), metadata={
+            "unet_config": small_model.config.__dict__,
+            "inference": {**inference.to_dict(), "compile_plans": False},
+        })
+        registry = ModelRegistry(str(root))
+        with pytest.warns(DeprecationWarning, match="compile_plans"):
+            served = registry.classifier("seaice")
+        assert served.config == inference
+        assert served.engine is not None
+        direct = SceneClassifier(model=small_model, config=inference)
+        np.testing.assert_array_equal(served.classify_scene(scene), direct.classify_scene(scene))
+
     def test_corrupt_archive_raises_checkpoint_error(self, tmp_path, small_model):
         registry = _publish(tmp_path, small_model)
         with open(registry.record("seaice").path, "wb") as fh:

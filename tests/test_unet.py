@@ -14,7 +14,6 @@ from repro.unet import (
     UNetTrainer,
     build_unet,
     paper_unet_config,
-    predict_tiles,
     tiny_unet_config,
 )
 
@@ -132,21 +131,29 @@ class TestTrainer:
 
 
 class TestInference:
-    def test_predict_tiles_shape(self, tiny_model, tiny_dataset):
-        preds = predict_tiles(tiny_model, tiny_dataset.images[:3], batch_size=2)
+    def test_classify_tiles_shape(self, tiny_model, tiny_dataset):
+        config = InferenceConfig(tile_size=32, batch_size=2, apply_cloud_filter=False)
+        preds = SceneClassifier(model=tiny_model, config=config).classify_tiles(tiny_dataset.images[:3])
         assert preds.shape == (3, 32, 32)
+        assert preds.dtype == np.uint8
 
-    def test_predict_tiles_with_filter(self, tiny_model, tiny_dataset):
+    def test_classify_tiles_with_filter(self, tiny_model, tiny_dataset):
         from repro.cloudshadow import CloudShadowFilter
+        from repro.unet import predict_batch_probabilities
 
-        preds = predict_tiles(tiny_model, tiny_dataset.images[:2], cloud_filter=CloudShadowFilter())
+        tiles = tiny_dataset.images[:2]
+        classifier = SceneClassifier(model=tiny_model, config=InferenceConfig(tile_size=32))
+        preds = classifier.classify_tiles(tiles)
         assert preds.shape == (2, 32, 32)
+        # The filter really runs: the maps match the filtered seam exactly.
+        ref = predict_batch_probabilities(tiles, tiny_model, CloudShadowFilter(), classifier.engine)
+        np.testing.assert_array_equal(preds, ref.argmax(axis=1))
 
-    def test_predict_tiles_rejects_bad_input(self, tiny_model, tiny_dataset):
+    def test_classify_tiles_rejects_bad_input(self, tiny_model, tiny_dataset):
         with pytest.raises(ValueError):
-            predict_tiles(tiny_model, tiny_dataset.labels)
+            SceneClassifier(model=tiny_model).classify_tiles(tiny_dataset.labels)
         with pytest.raises(ValueError):
-            predict_tiles(tiny_model, tiny_dataset.images, batch_size=0)
+            InferenceConfig(batch_size=0)
 
     def test_scene_classifier_full_scene(self, tiny_model, clear_scene):
         classifier = SceneClassifier(

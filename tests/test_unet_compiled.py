@@ -13,6 +13,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.imops.resize import assemble_from_tiles, split_into_tiles
 from repro.serving import MicroBatcher
 from repro.unet import (
     CompiledUNet,
@@ -136,16 +137,16 @@ class TestSeamIntegration:
     def test_scene_classifier_compiled_matches_uncompiled(self, rng):
         model = _model(2, dropout=0.0)
         scene = rng.integers(0, 255, size=(48, 64, 3), dtype=np.uint8)
-        kwargs = dict(tile_size=16, overlap=4, apply_cloud_filter=False, batch_size=4)
-        compiled = SceneClassifier(model=model, config=InferenceConfig(compile_plans=True, **kwargs))
-        plain = SceneClassifier(model=model, config=InferenceConfig(compile_plans=False, **kwargs))
-        assert compiled.engine is not None and plain.engine is None
-        np.testing.assert_allclose(
-            compiled.classify_scene_proba(scene), plain.classify_scene_proba(scene), rtol=0, atol=1e-6
-        )
+        config = InferenceConfig(tile_size=16, overlap=4, apply_cloud_filter=False, batch_size=4)
+        compiled = SceneClassifier(model=model, config=config)
+        assert compiled.engine is not None
+        # Reference: the model-only seam (the generic eval forward), stitched.
+        tiles, grid = split_into_tiles(scene, tile_size=16, overlap=4)
+        probs = predict_batch_probabilities(tiles, model, None)
+        reference = np.asarray(assemble_from_tiles(np.moveaxis(probs, 1, -1), grid))
+        np.testing.assert_allclose(compiled.classify_scene_proba(scene), reference, rtol=0, atol=1e-6)
         info = compiled.plan_cache_info()
         assert info is not None and info["misses"] >= 1
-        assert plain.plan_cache_info() is None
 
     def test_warm_plans_precompiles_serving_shape(self):
         model = _model(2, dropout=0.0)
@@ -166,16 +167,19 @@ class TestSeamIntegration:
         classifier.classify_tiles(tiles)
         model.head.weight.value += 0.5
         classifier.invalidate_plans()
-        ref = SceneClassifier(
-            model=model, config=InferenceConfig(tile_size=8, apply_cloud_filter=False, compile_plans=False)
-        )
-        np.testing.assert_array_equal(classifier.classify_tiles(tiles), ref.classify_tiles(tiles))
+        ref = predict_batch_probabilities(tiles, model, None)
+        np.testing.assert_allclose(classifier._predict_stack(tiles), ref, rtol=0, atol=1e-6)
+        np.testing.assert_array_equal(classifier.classify_tiles(tiles), ref.argmax(axis=1))
 
     def test_config_roundtrip_with_plan_knobs(self):
-        config = InferenceConfig(compile_plans=False, plan_cache_size=3)
+        config = InferenceConfig(plan_cache_size=3)
         restored = InferenceConfig.from_dict(config.to_dict())
         assert restored == config
-        assert InferenceConfig.from_dict({"compile_plans": 1}).compile_plans is True
+        # The legacy key of archives written before plans were the only
+        # runtime loads, ignored, with a deprecation warning.
+        with pytest.warns(DeprecationWarning, match="compile_plans"):
+            legacy = InferenceConfig.from_dict({"compile_plans": False, "plan_cache_size": 3})
+        assert legacy == config
         with pytest.raises(ValueError, match="plan_cache_size"):
             InferenceConfig(plan_cache_size=0)
 
